@@ -103,6 +103,8 @@ class PredictorUnit {
     Vec3 vel;
   };
 
+  /// One j-particle, operation by operation: the reference that
+  /// predict_batch() is held to.
   Predicted predict(const StoredJParticle& j, double t) const;
 
   /// All stored j-particles predicted at once, column-wise — the batched
@@ -144,7 +146,8 @@ class ForcePipeline {
   /// Accumulate the interaction of predicted j-particle `j` on i-particle
   /// `ip` into `out`. Skips the self-interaction by index compare. When
   /// `neighbors` is non-null the neighbor comparator runs alongside the
-  /// force datapath (no extra cycles, as in hardware).
+  /// force datapath (no extra cycles, as in hardware). The reference
+  /// that interact_batch() is held to; Chip::run_pass uses the batch.
   void interact(const PredictorUnit::Predicted& j, const IParticlePacket& ip,
                 double eps2, HwAccumulators& out,
                 HwNeighborRecorder* neighbors = nullptr) const;

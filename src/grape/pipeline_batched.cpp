@@ -1,10 +1,11 @@
-// Batched fast path of the predictor and force pipelines.
+// Batched predictor and force pipelines: the chip pass that Chip::run_pass
+// runs.
 //
 // Same dataflow as pipeline.cpp, restructured from per-particle calls into
 // flat loops over the JStore / PredictedBatch columns. Bit-identity with
-// the scalar path is a hard contract (G6_PIPELINE=check and
-// tests/grape/pipeline_crosscheck_test enforce it), which constrains this
-// file in three ways:
+// the scalar reference (predict() + interact() slot by slot) is a hard
+// contract, enforced by tests/grape/pipeline_crosscheck_test, which
+// constrains this file in three ways:
 //
 //  * every per-interaction operation sequence is copied from the scalar
 //    path verbatim — same ops, same association order, one rounding per

@@ -1,11 +1,11 @@
 #pragma once
 // JStore: the chip-local j-particle memory as a structure of arrays.
 //
-// The scalar emulator stored j-particles as a std::vector<StoredJParticle>
-// (an array of 104-byte structs). The batched pipeline fast path streams
-// whole j-ranges through flat inner loops, so the memory is kept column-
-// wise instead: one contiguous array per hardware field (fixed-point
-// position words, predictor-format derivatives, mass, index, block time).
+// The chip pass streams whole j-ranges through flat inner loops, so the
+// memory is kept column-wise rather than as an array of 104-byte
+// StoredJParticle structs: one contiguous array per hardware field
+// (fixed-point position words, predictor-format derivatives, mass, index,
+// block time).
 // This is the SoA particle-store pattern of CabanaMD's `System` (see
 // SNIPPETS.md Snippets 1-2) applied to the GRAPE-6 broadcast j-memory.
 //
@@ -21,8 +21,8 @@
 //
 // Layout changes here are invisible to results by construction: the
 // pipeline consumes identical field values either way, and
-// tests/grape/pipeline_crosscheck_test.cpp holds the scalar and batched
-// paths to bit-identical accumulators.
+// tests/grape/pipeline_crosscheck_test.cpp holds the chip pass over the
+// columns bit-identical to the scalar reference over get(slot) words.
 
 #include <cstdint>
 #include <span>

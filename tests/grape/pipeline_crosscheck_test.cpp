@@ -1,12 +1,14 @@
-// Scalar-vs-batched pipeline crosscheck: the batched fast path
-// (Chip::run_pass in PipelineMode::kBatched) must be BIT-IDENTICAL to the
-// scalar reference path on every observable hardware word — accumulator
-// mantissas, block exponents, overflow flags, neighbor FIFO contents and
-// order, and the nearest-neighbor register — for every number-format
-// preset, with and without neighbor collection, with a fault injector
-// attached, and at any thread count. This is the contract that lets the
-// fast path replace the scalar pipeline without invalidating a single
-// recorded snapshot.
+// Chip-pass crosscheck: Chip::run_pass (predict_batch + interact_batch
+// over the JStore columns) must be BIT-IDENTICAL to the scalar reference
+// written out below — PredictorUnit::predict() per stored slot, then
+// ForcePipeline::interact() per i-slot, in ascending slot order — on every
+// observable hardware word: accumulator mantissas, block exponents,
+// overflow flags, neighbor FIFO contents and order, and the nearest-
+// neighbor register. Pinned for every number-format preset, with and
+// without neighbor collection, on an engine-realistic Plummer state, with
+// a fault injector attached, and at any thread count. This is the contract
+// that lets the column-wise pass stand in for the operation-by-operation
+// emulator without invalidating a single recorded snapshot.
 //
 // Also verifies the FloatFormat::quantize fast bit-manipulation path
 // against quantize_ref(), its independently-derived libm oracle, over
@@ -19,7 +21,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -27,6 +28,10 @@
 #include "fault/plan.hpp"
 #include "grape/chip.hpp"
 #include "grape/engine.hpp"
+#include "hermite/direct_engine.hpp"
+#include "hermite/integrator.hpp"
+#include "hermite/scheme.hpp"
+#include "nbody/models.hpp"
 #include "util/rng.hpp"
 
 namespace g6 {
@@ -46,46 +51,69 @@ std::vector<JParticle> random_js(std::size_t n, std::uint64_t seed) {
   return js;
 }
 
-struct PassResult {
-  std::vector<HwAccumulators> acc;
-  std::vector<HwNeighborRecorder> nb;
-};
-
-/// One chip pass over `js` in the given pipeline mode; 48 i-particles are
-/// the first 48 j's (self-interaction cut exercises the index compare).
-PassResult run_chip_pass(PipelineMode mode, const NumberFormats& fmt,
-                         const std::vector<JParticle>& js, double t,
-                         double eps2, bool want_nb, double h2) {
-  MachineConfig mc;
-  mc.pipeline_mode = mode;
-  Chip chip(mc, fmt);
+void load(Chip& chip, const std::vector<JParticle>& js, const NumberFormats& fmt) {
   chip.reserve_slots(js.size());
   for (std::size_t i = 0; i < js.size(); ++i) {
     chip.write(i, quantize_j_particle(js[i], static_cast<std::uint32_t>(i), fmt));
   }
+}
+
+/// The first min(48, n) j's as i-particles (the self-interaction cut
+/// exercises the index compare).
+std::vector<IParticlePacket> leading_iblock(const std::vector<JParticle>& js,
+                                            const NumberFormats& fmt,
+                                            double h2) {
   std::vector<IParticlePacket> iblock;
-  for (std::size_t i = 0; i < chip.i_parallelism() && i < js.size(); ++i) {
+  for (std::size_t i = 0; i < MachineConfig{}.i_parallelism() && i < js.size(); ++i) {
     PredictedState s;
     s.index = static_cast<std::uint32_t>(i);
     s.pos = js[i].pos;
     s.vel = js[i].vel;
     iblock.push_back(quantize_i_particle(s, fmt));
+    iblock.back().h2 = h2;
   }
+  return iblock;
+}
+
+struct PassResult {
+  std::vector<HwAccumulators> acc;
+  std::vector<HwNeighborRecorder> nb;
+};
+
+/// Reset result banks for `n` i-slots; `fifo_depth` 0 means no neighbors.
+PassResult fresh(std::size_t n, const BlockExponents& exps,
+                 std::size_t fifo_depth) {
   PassResult r;
-  r.acc.resize(iblock.size());
-  for (auto& a : r.acc) a.reset({4, 8, 4});
-  if (want_nb) {
-    r.nb.resize(iblock.size());
-    for (std::size_t k = 0; k < r.nb.size(); ++k) {
-      r.nb[k].reset(8);  // tiny FIFO: force overflow-flag coverage
-      r.nb[k].indices.reserve(8);
-    }
-    for (auto& p : iblock) p.h2 = h2;
+  r.acc.resize(n);
+  for (auto& a : r.acc) a.reset(exps);
+  if (fifo_depth > 0) {
+    r.nb.resize(n);
+    for (auto& nb : r.nb) nb.reset(fifo_depth);
   }
-  chip.run_pass(t, iblock, eps2, r.acc,
-                want_nb ? std::span<HwNeighborRecorder>(r.nb)
-                        : std::span<HwNeighborRecorder>{});
   return r;
+}
+
+/// The scalar reference: predict() each stored word, then interact() it
+/// with every i-slot, ascending slot order.
+void reference_pass(const Chip& chip, const NumberFormats& fmt, double t,
+                    std::span<const IParticlePacket> iblock, double eps2,
+                    PassResult& r) {
+  const PredictorUnit predictor(fmt);
+  const ForcePipeline pipeline(fmt);
+  for (std::size_t slot = 0; slot < chip.j_count(); ++slot) {
+    const PredictorUnit::Predicted pj = predictor.predict(chip.stored(slot), t);
+    for (std::size_t k = 0; k < iblock.size(); ++k) {
+      pipeline.interact(pj, iblock[k], eps2, r.acc[k],
+                        r.nb.empty() ? nullptr : &r.nb[k]);
+    }
+  }
+}
+
+void chip_pass(Chip& chip, double t, std::span<const IParticlePacket> iblock,
+               double eps2, PassResult& r) {
+  chip.run_pass(t, iblock, eps2, r.acc,
+                r.nb.empty() ? std::span<HwNeighborRecorder>{}
+                             : std::span<HwNeighborRecorder>(r.nb));
 }
 
 void expect_bit_identical(const PassResult& a, const PassResult& b) {
@@ -130,45 +158,122 @@ TEST(PipelineCrosscheck, BitIdenticalAcrossFormatsEpsAndNeighbors) {
   };
   Rng rng(0xe952);
   for (const auto& fmt : presets) {
+    Chip chip(MachineConfig{}, fmt);
+    load(chip, js, fmt);
     for (bool want_nb : {false, true}) {
       const double eps2 = std::pow(10.0, rng.uniform(-6, -2));
-      const auto scalar = run_chip_pass(PipelineMode::kScalar, fmt, js, 0.125,
-                                        eps2, want_nb, 0.5);
-      const auto batched = run_chip_pass(PipelineMode::kBatched, fmt, js, 0.125,
-                                         eps2, want_nb, 0.5);
-      expect_bit_identical(scalar, batched);
+      const auto iblock = leading_iblock(js, fmt, want_nb ? 0.5 : 0.0);
+      // A tiny FIFO forces overflow-flag coverage.
+      const std::size_t depth = want_nb ? 8 : 0;
+      PassResult ref = fresh(iblock.size(), {4, 8, 4}, depth);
+      PassResult got = fresh(iblock.size(), {4, 8, 4}, depth);
+      reference_pass(chip, fmt, 0.125, iblock, eps2, ref);
+      chip_pass(chip, 0.125, iblock, eps2, got);
+      expect_bit_identical(ref, got);
     }
   }
 }
 
-TEST(PipelineCrosscheck, CheckModeMatchesScalarAndSelfVerifies) {
-  // kCheck runs both paths and G6_REQUIREs agreement internally; its
-  // returned bank must equal the plain scalar pass.
-  const auto js = random_js(64, 42);
-  const auto scalar = run_chip_pass(PipelineMode::kScalar, NumberFormats{}, js,
-                                    0.25, 1e-4, true, 0.25);
-  const auto check = run_chip_pass(PipelineMode::kCheck, NumberFormats{}, js,
-                                   0.25, 1e-4, true, 0.25);
-  expect_bit_identical(scalar, check);
+TEST(PipelineCrosscheck, PlummerStateMatchesReference) {
+  // Engine-realistic inputs: a Plummer sphere integrated for a few
+  // blocksteps, so the j-memory carries real acc/jerk/snap and mixed t0,
+  // predicted at several times; i-particles are host-predicted members.
+  constexpr std::size_t kN = 1024;
+  constexpr double kEps = 1.0 / 64.0;
+  Rng rng(0x91u);
+  const ParticleSet ic = make_plummer(kN, rng);
+  DirectForceEngine direct(kEps, 1);
+  HermiteIntegrator integ(ic, direct);
+  integ.evolve(1.0 / 32.0);
+  const std::vector<JParticle> js = integ.save_state().particles;
+  std::size_t with_snap = 0;
+  std::size_t behind = 0;
+  for (const auto& p : js) {
+    with_snap += norm2(p.snap) > 0.0 ? 1 : 0;
+    behind += p.t0 < integ.time() ? 1 : 0;
+  }
+  ASSERT_GT(with_snap, kN / 2);
+  ASSERT_GT(behind, 0u);
+
+  const NumberFormats fmt;
+  const MachineConfig mc;
+  Chip chip(mc, fmt);
+  load(chip, js, fmt);
+
+  std::size_t fifo_overflows = 0;
+  std::size_t fifo_fits = 0;
+  std::size_t acc_overflows = 0;
+  for (const double dt : {0.0, 1.0 / 1024.0, 1.0 / 128.0, 1.0 / 32.0}) {
+    const double t = integ.time() + dt;
+    std::vector<IParticlePacket> iblock;
+    for (std::size_t k = 0; k < mc.i_parallelism(); ++k) {
+      const std::size_t i = k * 21;  // spread over the whole set
+      PredictedState s;
+      s.index = static_cast<std::uint32_t>(i);
+      hermite_predict_cubic(js[i], t, s.pos, s.vel);
+      iblock.push_back(quantize_i_particle(s, fmt));
+      // Radii up to 0.8: slots near the core overflow the 256-deep FIFO.
+      iblock.back().h2 = 0.08 * static_cast<double>(1 + k % 8);
+    }
+    // The engine's starting exponents, then tight ones that overflow.
+    for (const BlockExponents& exps :
+         {BlockExponents{}, BlockExponents{-6, -5, -6}}) {
+      PassResult ref = fresh(iblock.size(), exps, mc.neighbor_buffer_per_chip);
+      PassResult got = fresh(iblock.size(), exps, mc.neighbor_buffer_per_chip);
+      reference_pass(chip, fmt, t, iblock, kEps * kEps, ref);
+      chip_pass(chip, t, iblock, kEps * kEps, got);
+      expect_bit_identical(ref, got);
+      for (std::size_t k = 0; k < ref.acc.size(); ++k) {
+        acc_overflows += ref.acc[k].overflow() ? 1 : 0;
+        fifo_overflows += ref.nb[k].overflow ? 1 : 0;
+        fifo_fits += !ref.nb[k].overflow && !ref.nb[k].indices.empty() ? 1 : 0;
+      }
+    }
+  }
+  // The case must reach both sides of every flag it pins.
+  EXPECT_GT(fifo_overflows, 0u);
+  EXPECT_GT(fifo_fits, 0u);
+  EXPECT_GT(acc_overflows, 0u);
 }
 
-/// Full-engine forces under a given pipeline mode and fault plan.
-std::vector<Force> run_engine(PipelineMode mode, const std::vector<JParticle>& js,
-                              bool with_faults,
-                              fault::FaultInjector::Counts* counts = nullptr) {
+TEST(PipelineCrosscheck, FaultedPassMatchesReferencePlusInjector) {
+  // Two identically seeded injectors: one rides the chip's pass, the other
+  // is applied to the reference bank after the reference loop. Output
+  // faults land once, after accumulation, from the same RNG stream.
+  const auto js = random_js(96, 7);
+  const NumberFormats fmt;
+  fault::FaultPlan plan;
+  plan.seed = 0x6701;
+  plan.compute_rate = 0.5;
+  plan.stuck_chips = {1};
+  fault::FaultInjector inj_chip(plan);
+  fault::FaultInjector inj_ref(plan);
+  Chip chip(MachineConfig{}, fmt);
+  load(chip, js, fmt);
+  const auto iblock = leading_iblock(js, fmt, 0.0);
+  for (int pass = 0; pass < 8; ++pass) {
+    const double t = 0.125 * pass;
+    const int chip_id = pass % 2;
+    chip.attach_fault(&inj_chip, chip_id);
+    PassResult got = fresh(iblock.size(), {4, 8, 4}, 0);
+    chip_pass(chip, t, iblock, 1e-4, got);
+    PassResult ref = fresh(iblock.size(), {4, 8, 4}, 0);
+    reference_pass(chip, fmt, t, iblock, 1e-4, ref);
+    inj_ref.apply_pass_faults(t, chip_id, ref.acc);
+    expect_bit_identical(ref, got);
+  }
+  EXPECT_GT(inj_chip.counts().compute_glitches, 0u);
+  EXPECT_GT(inj_chip.counts().stuck_passes, 0u);
+  EXPECT_EQ(inj_chip.counts().compute_glitches,
+            inj_ref.counts().compute_glitches);
+  EXPECT_EQ(inj_chip.counts().stuck_passes, inj_ref.counts().stuck_passes);
+}
+
+/// Full-engine forces on every particle (a 2-board machine).
+std::vector<Force> run_engine(const std::vector<JParticle>& js) {
   MachineConfig mc;
   mc.boards_per_host = 2;
-  mc.pipeline_mode = mode;
   GrapeForceEngine hw(mc, NumberFormats{}, 0.01);
-  std::shared_ptr<fault::FaultInjector> inj;
-  if (with_faults) {
-    fault::FaultPlan plan;
-    plan.seed = 0x6701;
-    plan.jmem_flip_rate = 2e-3;
-    plan.ipacket_rate = 2e-3;
-    inj = std::make_shared<fault::FaultInjector>(plan);
-    hw.enable_fault_tolerance(inj);
-  }
   hw.load_particles(js);
   std::vector<PredictedState> block(js.size());
   for (std::size_t i = 0; i < js.size(); ++i) {
@@ -179,26 +284,7 @@ std::vector<Force> run_engine(PipelineMode mode, const std::vector<JParticle>& j
   std::vector<Force> f(js.size());
   hw.compute_forces(0.0, block, f);
   hw.compute_forces(0.0, block, f);  // steady-state exponents
-  if (counts && inj) *counts = inj->counts();
   return f;
-}
-
-TEST(PipelineCrosscheck, FaultInjectionStreamIndependentOfPipelineMode) {
-  // Same plan + seed: the injector's RNG stream walks j-memory slots in
-  // the same order on both paths, so the injected faults, the recovery
-  // actions, and the final forces are all identical.
-  const auto js = random_js(96, 7);
-  fault::FaultInjector::Counts cs, cb;
-  const auto fs = run_engine(PipelineMode::kScalar, js, true, &cs);
-  const auto fb = run_engine(PipelineMode::kBatched, js, true, &cb);
-  EXPECT_EQ(cs.jmem_flips, cb.jmem_flips);
-  EXPECT_EQ(cs.ipacket_corruptions, cb.ipacket_corruptions);
-  ASSERT_EQ(fs.size(), fb.size());
-  for (std::size_t i = 0; i < fs.size(); ++i) {
-    EXPECT_EQ(fs[i].acc, fb[i].acc) << i;
-    EXPECT_EQ(fs[i].jerk, fb[i].jerk) << i;
-    EXPECT_EQ(fs[i].pot, fb[i].pot) << i;
-  }
 }
 
 TEST(PipelineCrosscheck, BatchedBitIdenticalAcrossThreadCounts) {
@@ -209,7 +295,7 @@ TEST(PipelineCrosscheck, BatchedBitIdenticalAcrossThreadCounts) {
   std::vector<Force> ref;
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::ThreadPool::set_global_threads(threads);
-    const auto f = run_engine(PipelineMode::kBatched, js, false);
+    const auto f = run_engine(js);
     if (ref.empty()) {
       ref = f;
       continue;
