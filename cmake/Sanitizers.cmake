@@ -12,6 +12,9 @@
 #   -DGRAPE6_SANITIZE=memory              # MSan        (clang only, no preset yet)
 #
 # ASan/TSan are mutually exclusive; UBSan is folded into the address run.
+# float-cast-overflow is named explicitly: GCC's -fsanitize=undefined
+# leaves it out, and it is the check that catches an out-of-range
+# double-to-integer cast of a client- or disk-supplied number.
 # -fno-sanitize-recover=all turns every UBSan diagnostic into a hard
 # failure so ctest goes red on the first finding instead of logging and
 # continuing.
@@ -25,7 +28,8 @@ add_library(grape6_sanitizers INTERFACE)
 
 if(GRAPE6_SANITIZE)
   if(GRAPE6_SANITIZE STREQUAL "address,undefined")
-    set(_g6_san_flags -fsanitize=address,undefined -fno-sanitize-recover=all)
+    set(_g6_san_flags -fsanitize=address,undefined,float-cast-overflow
+                      -fno-sanitize-recover=all)
   elseif(GRAPE6_SANITIZE STREQUAL "thread")
     set(_g6_san_flags -fsanitize=thread)
   elseif(GRAPE6_SANITIZE STREQUAL "memory")

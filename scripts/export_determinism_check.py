@@ -14,7 +14,7 @@ wall-clock leakage in anything structural. This script locks that in:
   2. g6report twice over the SAME metrics file: stdout must be
      byte-identical (cmp semantics) — a report that renders differently
      on a second read is iterating something unordered.
-  3. (with --serve) grape6_serve twice on a 3-job mixed-priority
+  3. (with --served) grape6_served in-process twice on a 3-job mixed-priority
      manifest: the per-job attribution scopes and the per-round time
      series must match between runs — scope key sets and counter values
      exactly (schedule-dependent counters exempt by value, never by
@@ -23,7 +23,7 @@ wall-clock leakage in anything structural. This script locks that in:
      flight recorder is deliberately NOT here: its ring interleaves
      worker-thread events, so the dump is schedule-dependent by design
      (docs/OBSERVABILITY.md documents the exemption).
-  4. (with --served + --loadgen) grape6_served twice on a unix socket,
+  4. (with --served + --loadgen) the grape6_served daemon twice on a unix socket,
      each time driven by the same loadgen manifest over 2 connections:
      the wire.* transport instruments must export with a stable key
      order, and every counter the *client* drives (connections, request
@@ -232,17 +232,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--run", required=True, help="path to grape6_run")
     ap.add_argument("--report", required=True, help="path to g6report")
-    ap.add_argument("--serve", default=None,
-                    help="path to grape6_serve; adds the attribution-scope "
-                         "and time-series determinism checks")
     ap.add_argument("--served", default=None,
-                    help="path to grape6_served; with --loadgen, adds the "
-                         "wire.* transport determinism check")
+                    help="path to grape6_served; adds the in-process "
+                         "attribution-scope and time-series determinism "
+                         "checks")
     ap.add_argument("--loadgen", default=None,
-                    help="path to grape6_loadgen (required with --served)")
+                    help="path to grape6_loadgen (needs --served); adds the "
+                         "daemon's wire.* transport determinism check")
     args = ap.parse_args()
-    if bool(args.served) != bool(args.loadgen):
-        ap.error("--served and --loadgen must be given together")
+    if args.loadgen and not args.served:
+        ap.error("--loadgen needs --served")
 
     with tempfile.TemporaryDirectory() as td:
         tmp = Path(td)
@@ -264,7 +263,7 @@ def main() -> int:
             errors.append("g6report output differs between two reads of "
                           "the same file")
 
-        if args.serve:
+        if args.served:
             manifest = tmp / "manifest.json"
             manifest.write_text(json.dumps(
                 {"schema": "grape6-serve-manifest-v1",
@@ -273,8 +272,7 @@ def main() -> int:
             for i in (0, 1):
                 m_out = tmp / f"serve_m{i}.json"
                 ts_out = tmp / f"serve_ts{i}.json"
-                run([args.serve, f"--manifest={manifest}",
-                     f"--out={tmp / f'serve{i}'}", "--snapshots=false",
+                run([args.served, f"--manifest={manifest}",
                      "--threads=2", f"--metrics-out={m_out}",
                      f"--timeseries-out={ts_out}"])
                 serve_metrics.append(json.loads(m_out.read_text()))
@@ -301,7 +299,7 @@ def main() -> int:
                 errors.append("serve: g6report output differs between two "
                               "reads of the same file")
 
-        if args.served:
+        if args.loadgen:
             daemon_manifest = tmp / "wire_service.json"
             daemon_manifest.write_text(json.dumps(
                 {"schema": "grape6-serve-manifest-v1",
@@ -317,7 +315,6 @@ def main() -> int:
                 daemon = subprocess.Popen(
                     [args.served, f"--listen=unix:{sock}",
                      f"--manifest={daemon_manifest}",
-                     f"--out={tmp / f'wired{i}'}", "--snapshots=false",
                      f"--metrics-out={m_out}"],
                     stdout=subprocess.PIPE, text=True)
                 try:

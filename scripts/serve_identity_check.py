@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end identity check for the serving layer (docs/SERVING.md).
 
-Runs tools/grape6_serve on a 10-job mixed-priority manifest — including a
+Runs tools/grape6_served in-process on a 10-job mixed-priority manifest — including a
 scheduled board death that forces a lease revocation and re-queue — then
 re-runs every job as a single-job manifest on an otherwise idle service
 and byte-compares the final snapshots. The serving layer's core promise
@@ -78,7 +78,7 @@ def run(cmd):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--serve", required=True, help="path to grape6_serve")
+    ap.add_argument("--served", required=True, help="path to grape6_served")
     ap.add_argument("--workdir", required=True)
     args = ap.parse_args()
 
@@ -87,7 +87,7 @@ def main():
 
     # Shared run: all 10 jobs on one service, with the board death.
     write_manifest("shared.json", SERVICE, JOBS)
-    run([args.serve, "--manifest=shared.json", "--out=shared",
+    run([args.served, "--manifest=shared.json", "--out=shared",
          "--report-out=shared_report.json"])
 
     with open("shared_report.json") as f:
@@ -112,7 +112,7 @@ def main():
     for job in JOBS:
         name = job["name"]
         write_manifest(f"solo_{name}.json", solo_service, [job])
-        run([args.serve, f"--manifest=solo_{name}.json", f"--out=solo_{name}"])
+        run([args.served, f"--manifest=solo_{name}.json", f"--out=solo_{name}"])
         shared_snap = f"shared_{name}.snap"
         solo_snap = f"solo_{name}_{name}.snap"
         for snap in (shared_snap, solo_snap):

@@ -2,7 +2,7 @@
 """Crash-recovery checks for the durable serving layer (docs/RELIABILITY.md,
 "Serving durability").
 
-Three modes, each an end-to-end exercise of tools/grape6_serve's
+Three modes, each an end-to-end exercise of tools/grape6_served's
 write-ahead journal, quantum checkpoints and --recover replay:
 
 identity   Run a mixed manifest (including a scheduled board death) to
@@ -320,7 +320,8 @@ def mode_sigterm(serve):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--serve", required=True, help="path to grape6_serve")
+    ap.add_argument("--served", required=True,
+                    help="path to grape6_served (run in-process)")
     ap.add_argument("--workdir", required=True)
     ap.add_argument("--mode", required=True,
                     choices=["identity", "chaos", "sigterm"])
@@ -337,11 +338,11 @@ def main():
     os.chdir(args.workdir)
 
     if args.mode == "identity":
-        mode_identity(args.serve)
+        mode_identity(args.served)
     elif args.mode == "chaos":
-        mode_chaos(args.serve, args.seed, args.kills)
+        mode_chaos(args.served, args.seed, args.kills)
     else:
-        mode_sigterm(args.serve)
+        mode_sigterm(args.served)
 
 
 if __name__ == "__main__":

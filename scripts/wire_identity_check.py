@@ -9,8 +9,8 @@ streaming subscriptions, then byte-compares THREE snapshot writers:
 
   * remote_<name>.snap  — streamed over the wire, written by the client;
   * served_<name>.snap  — written by the daemon after the drain;
-  * local_<name>.snap   — a standalone in-process grape6_serve run of
-                          the same manifest, no sockets anywhere.
+  * local_<name>.snap   — an in-process grape6_served run (no --listen)
+                          of the same manifest, no sockets anywhere.
 
 All three must be bit-identical for every job: the wire is not allowed
 to touch the physics, and the 17-digit snapshot encoding must round-trip
@@ -87,10 +87,9 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--served", required=True, help="path to grape6_served")
     ap.add_argument("--loadgen", required=True, help="path to grape6_loadgen")
-    ap.add_argument("--serve", required=True, help="path to grape6_serve")
     ap.add_argument("--workdir", required=True)
     args = ap.parse_args()
-    for tool in ("served", "loadgen", "serve"):
+    for tool in ("served", "loadgen"):
         setattr(args, tool, os.path.abspath(getattr(args, tool)))
 
     os.makedirs(args.workdir, exist_ok=True)
@@ -104,7 +103,7 @@ def main():
 
     served = subprocess.Popen(
         [args.served, f"--listen={endpoint}", "--manifest=service.json",
-         "--out=served", "--snapshots=true",
+         "--out=served",
          "--report-out=served_report.json"],
         stdout=subprocess.PIPE, text=True)
     try:
@@ -148,7 +147,7 @@ def main():
                          "run — the grow path never fired")
 
     # Standalone in-process reference: same manifest, no sockets.
-    run([args.serve, "--manifest=jobs.json", "--out=local"])
+    run([args.served, "--manifest=jobs.json", "--out=local"])
 
     mismatches = []
     for job in JOBS:

@@ -28,86 +28,64 @@ FaultPlan FaultPlan::uniform_transients(double rate, std::uint64_t seed) {
 
 namespace {
 
-double require_rate(const obs::JsonValue& v, const char* key) {
-  if (!v.is_number()) throw FaultError(std::string("fault plan: ") + key + " must be a number");
-  const double r = v.as_number();
-  if (r < 0.0 || r > 1.0)
-    throw FaultError(std::string("fault plan: ") + key + " outside [0, 1]");
+using obs::JsonReader;
+
+[[noreturn]] void fail(const std::string& what) { throw FaultError(what); }
+
+/// Optional probability `key`, defaulting to `dflt`.
+double rate(const JsonReader& j, const char* key, double dflt) {
+  double r = dflt;
+  j.read(key, &r);
+  if (r < 0.0 || r > 1.0) j.fail(std::string(key) + " outside [0, 1]");
   return r;
 }
 
-double require_number(const obs::JsonValue& v, const char* key) {
-  if (!v.is_number()) throw FaultError(std::string("fault plan: ") + key + " must be a number");
-  return v.as_number();
-}
-
-int require_int(const obs::JsonValue& v, const char* key) {
-  const double d = require_number(v, key);
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d)
-    throw FaultError(std::string("fault plan: ") + key + " must be an integer");
-  return i;
-}
-
-HardFailure parse_hard_failure(const obs::JsonValue& v) {
-  if (!v.is_object()) throw FaultError("fault plan: hard_failures entries must be objects");
+HardFailure parse_hard_failure(const JsonReader& j) {
+  j.strict_keys({"time", "board", "module", "chip"}, {"board"});
   HardFailure f;
-  bool saw_board = false;
-  for (const auto& [key, value] : v.members()) {
-    if (key == "time") {
-      f.time = require_number(value, "hard_failures.time");
-    } else if (key == "board") {
-      f.board = require_int(value, "hard_failures.board");
-      saw_board = true;
-    } else if (key == "module") {
-      f.module = require_int(value, "hard_failures.module");
-    } else if (key == "chip") {
-      f.chip = require_int(value, "hard_failures.chip");
-    } else {
-      throw FaultError("fault plan: unknown hard_failures key '" + key + "'");
-    }
-  }
-  if (!saw_board) throw FaultError("fault plan: hard_failures entry missing 'board'");
+  j.read("time", &f.time);
+  j.read("board", &f.board);
+  j.read("module", &f.module);
+  j.read("chip", &f.chip);
   return f;
 }
 
 }  // namespace
 
 FaultPlan FaultPlan::from_json(const obs::JsonValue& v) {
-  if (!v.is_object()) throw FaultError("fault plan: top level must be a JSON object");
+  const JsonReader j(v, "fault plan", fail);
+  j.strict_keys({"seed", "jmem_flip_rate", "ipacket_rate", "compute_rate",
+                "stuck_chips", "hard_failures", "link_drop_rate",
+                "link_spike_rate", "link_spike_factor",
+                "retransmit_timeout_s"});
   FaultPlan plan;
-  for (const auto& [key, value] : v.members()) {
-    if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(require_number(value, "seed"));
-    } else if (key == "jmem_flip_rate") {
-      plan.jmem_flip_rate = require_rate(value, "jmem_flip_rate");
-    } else if (key == "ipacket_rate") {
-      plan.ipacket_rate = require_rate(value, "ipacket_rate");
-    } else if (key == "compute_rate") {
-      plan.compute_rate = require_rate(value, "compute_rate");
-    } else if (key == "stuck_chips") {
-      if (!value.is_array()) throw FaultError("fault plan: stuck_chips must be an array");
-      for (const auto& item : value.items())
-        plan.stuck_chips.push_back(require_int(item, "stuck_chips[]"));
-    } else if (key == "hard_failures") {
-      if (!value.is_array()) throw FaultError("fault plan: hard_failures must be an array");
-      for (const auto& item : value.items())
-        plan.hard_failures.push_back(parse_hard_failure(item));
-    } else if (key == "link_drop_rate") {
-      plan.link_drop_rate = require_rate(value, "link_drop_rate");
-    } else if (key == "link_spike_rate") {
-      plan.link_spike_rate = require_rate(value, "link_spike_rate");
-    } else if (key == "link_spike_factor") {
-      plan.link_spike_factor = require_number(value, "link_spike_factor");
-      if (plan.link_spike_factor < 1.0)
-        throw FaultError("fault plan: link_spike_factor must be >= 1");
-    } else if (key == "retransmit_timeout_s") {
-      plan.retransmit_timeout_s = require_number(value, "retransmit_timeout_s");
-      if (plan.retransmit_timeout_s < 0.0)
-        throw FaultError("fault plan: retransmit_timeout_s must be >= 0");
-    } else {
-      throw FaultError("fault plan: unknown key '" + key + "'");
+  j.read("seed", &plan.seed);
+  plan.jmem_flip_rate = rate(j, "jmem_flip_rate", plan.jmem_flip_rate);
+  plan.ipacket_rate = rate(j, "ipacket_rate", plan.ipacket_rate);
+  plan.compute_rate = rate(j, "compute_rate", plan.compute_rate);
+  plan.link_drop_rate = rate(j, "link_drop_rate", plan.link_drop_rate);
+  plan.link_spike_rate = rate(j, "link_spike_rate", plan.link_spike_rate);
+  if (j.has("stuck_chips")) {
+    const obs::JsonValue& chips = j.at("stuck_chips");
+    if (!chips.is_array()) j.fail("stuck_chips must be an array");
+    for (std::size_t i = 0; i < chips.items().size(); ++i) {
+      plan.stuck_chips.push_back(j.as<int>(
+          chips.items()[i], "stuck_chips[" + std::to_string(i) + "]"));
     }
+  }
+  if (j.has("hard_failures")) {
+    const obs::JsonValue& hard = j.at("hard_failures");
+    if (!hard.is_array()) j.fail("hard_failures must be an array");
+    for (std::size_t i = 0; i < hard.items().size(); ++i) {
+      plan.hard_failures.push_back(parse_hard_failure(
+          j.child(hard.items()[i], ".hard_failures[" + std::to_string(i) + "]")));
+    }
+  }
+  j.read("link_spike_factor", &plan.link_spike_factor);
+  if (plan.link_spike_factor < 1.0) j.fail("link_spike_factor must be >= 1");
+  j.read("retransmit_timeout_s", &plan.retransmit_timeout_s);
+  if (plan.retransmit_timeout_s < 0.0) {
+    j.fail("retransmit_timeout_s must be >= 0");
   }
   return plan;
 }

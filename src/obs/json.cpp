@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -42,6 +43,13 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  std::ostringstream os;
+  os.precision(17);
+  os << v;
+  return os.str();
 }
 
 bool JsonValue::as_bool() const {
@@ -321,6 +329,59 @@ class JsonParser {
 JsonValue JsonValue::parse(std::string_view text) {
   G6_REQUIRE(!text.empty());
   return JsonParser(text).parse_document();
+}
+
+JsonReader::JsonReader(const JsonValue& obj, std::string where,
+                       FailFn on_error)
+    : obj_(&obj), where_(std::move(where)), fail_(on_error) {
+  G6_REQUIRE(fail_ != nullptr);
+  if (!obj.is_object()) {
+    fail_(where_ + " must be a JSON object");
+    throw std::logic_error("JsonReader: fail callback returned");
+  }
+}
+
+void JsonReader::fail(const std::string& what) const {
+  fail_(where_ + ": " + what);
+  throw std::logic_error("JsonReader: fail callback returned");
+}
+
+std::string JsonReader::key_name(std::string_view key) {
+  return "key '" + std::string(key) + "'";
+}
+
+void JsonReader::strict_keys(
+    const std::vector<std::string_view>& allowed,
+    const std::vector<std::string_view>& required) const {
+  for (const auto& [key, value] : obj_->members()) {
+    (void)value;
+    bool known = false;
+    for (const std::string_view a : allowed) known = known || a == key;
+    if (!known) fail("unknown key '" + key + "'");
+  }
+  for (const std::string_view key : required) {
+    if (!has(key)) fail("missing required " + key_name(key));
+  }
+}
+
+const JsonValue& JsonReader::at(std::string_view key) const {
+  const JsonValue* v = obj_->find(key);
+  if (v == nullptr) fail("missing required " + key_name(key));
+  return *v;
+}
+
+double JsonReader::integral(const JsonValue& v, const std::string& name,
+                            bool is_signed, int digits) const {
+  const double d = as<double>(v, name);
+  const char* kind = is_signed ? " must be an integer" :
+                                 " must be a non-negative integer";
+  if (d != std::floor(d) || (!is_signed && d < 0.0)) fail(name + kind);
+  const double limit = std::ldexp(1.0, digits);
+  if (d >= limit || d < (is_signed ? -limit : 0.0)) {
+    fail(name + " is out of range for a " +
+         std::to_string(digits + (is_signed ? 1 : 0)) + "-bit integer");
+  }
+  return d;
 }
 
 }  // namespace g6::obs

@@ -1,19 +1,21 @@
 #include "serve/journal.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <set>
+#include <iterator>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "serve/codec.hpp"
 #include "util/check.hpp"
 
 namespace g6::serve {
 
 namespace {
 
+using obs::JsonReader;
 using obs::JsonValue;
 using obs::json_escape;
+using obs::json_number;
 
 [[noreturn]] void fail(const std::string& what) {
   throw JournalError("journal: " + what);
@@ -21,165 +23,9 @@ using obs::json_escape;
 
 // ---- encoding -----------------------------------------------------------
 
-/// Shortest exact double: 17 significant digits round-trip binary64.
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 std::string quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
 
-void encode_spec(std::ostream& os, const JobSpec& s) {
-  os << "{\"name\":" << quote(s.name) << ",\"model\":" << quote(s.model)
-     << ",\"n\":" << s.n << ",\"w0\":" << num(s.w0)
-     << ",\"t_end\":" << num(s.t_end) << ",\"eps\":" << num(s.eps)
-     << ",\"eta\":" << num(s.eta) << ",\"seed\":" << s.seed
-     << ",\"boards\":" << s.boards << ",\"boards_min\":" << s.boards_min
-     << ",\"boards_max\":" << s.boards_max
-     << ",\"priority\":" << quote(priority_name(s.priority))
-     << ",\"deadline_rounds\":" << s.deadline_rounds
-     << ",\"chaos_fail_quanta\":" << s.chaos_fail_quanta << "}";
-}
-
-void encode_config(std::ostream& os, const ServiceConfig& c) {
-  os << "{\"max_queue_depth\":" << c.max_queue_depth
-     << ",\"quantum_blocksteps\":" << c.quantum_blocksteps
-     << ",\"max_requeues\":" << c.max_requeues
-     << ",\"max_job_failures\":" << c.max_job_failures
-     << ",\"backoff_base_rounds\":" << c.backoff_base_rounds
-     << ",\"boards_per_host\":" << c.machine.boards_per_host
-     << ",\"hosts_per_cluster\":" << c.machine.hosts_per_cluster
-     << ",\"clusters\":" << c.machine.clusters
-     << ",\"checkpoint_dir\":" << quote(c.durability.checkpoint_dir)
-     << ",\"checkpoint_every_quanta\":" << c.durability.checkpoint_every_quanta
-     << ",\"board_deaths\":[";
-  for (std::size_t i = 0; i < c.board_deaths.size(); ++i) {
-    if (i) os << ',';
-    os << "{\"round\":" << c.board_deaths[i].round
-       << ",\"board\":" << c.board_deaths[i].board << "}";
-  }
-  os << "]}";
-}
-
 // ---- decoding -----------------------------------------------------------
-
-void check_keys(const JsonValue& obj, const std::set<std::string>& allowed,
-                const std::string& where) {
-  if (!obj.is_object()) fail(where + " must be a JSON object");
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    if (allowed.count(key) == 0) fail(where + ": unknown key '" + key + "'");
-  }
-  for (const std::string& key : allowed) {
-    if (obj.find(key) == nullptr) {
-      fail(where + ": missing required key '" + key + "'");
-    }
-  }
-}
-
-double number_at(const JsonValue& obj, const std::string& key,
-                 const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);  // check_keys enforced presence
-  if (!v->is_number()) fail(where + ": key '" + key + "' must be a number");
-  return v->as_number();
-}
-
-std::uint64_t u64_at(const JsonValue& obj, const std::string& key,
-                     const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(d);
-}
-
-int int_at(const JsonValue& obj, const std::string& key,
-           const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be an integer");
-  }
-  return static_cast<int>(d);
-}
-
-std::string string_at(const JsonValue& obj, const std::string& key,
-                      const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);
-  if (!v->is_string()) fail(where + ": key '" + key + "' must be a string");
-  return v->as_string();
-}
-
-JobSpec decode_spec(const JsonValue& j, const std::string& where) {
-  check_keys(j,
-             {"name", "model", "n", "w0", "t_end", "eps", "eta", "seed",
-              "boards", "boards_min", "boards_max", "priority",
-              "deadline_rounds", "chaos_fail_quanta"},
-             where);
-  JobSpec s;
-  s.name = string_at(j, "name", where);
-  s.model = string_at(j, "model", where);
-  s.n = static_cast<std::size_t>(u64_at(j, "n", where));
-  s.w0 = number_at(j, "w0", where);
-  s.t_end = number_at(j, "t_end", where);
-  s.eps = number_at(j, "eps", where);
-  s.eta = number_at(j, "eta", where);
-  s.seed = static_cast<unsigned>(u64_at(j, "seed", where));
-  s.boards = static_cast<std::size_t>(u64_at(j, "boards", where));
-  s.boards_min = static_cast<std::size_t>(u64_at(j, "boards_min", where));
-  s.boards_max = static_cast<std::size_t>(u64_at(j, "boards_max", where));
-  const std::string prio = string_at(j, "priority", where);
-  if (prio == "interactive") {
-    s.priority = Priority::kInteractive;
-  } else if (prio == "batch") {
-    s.priority = Priority::kBatch;
-  } else {
-    fail(where + ": unknown priority '" + prio + "'");
-  }
-  s.deadline_rounds = u64_at(j, "deadline_rounds", where);
-  s.chaos_fail_quanta = int_at(j, "chaos_fail_quanta", where);
-  return s;
-}
-
-ServiceConfig decode_config(const JsonValue& j, const std::string& where) {
-  check_keys(j,
-             {"max_queue_depth", "quantum_blocksteps", "max_requeues",
-              "max_job_failures", "backoff_base_rounds", "boards_per_host",
-              "hosts_per_cluster", "clusters", "checkpoint_dir",
-              "checkpoint_every_quanta", "board_deaths"},
-             where);
-  ServiceConfig c;
-  c.max_queue_depth = static_cast<std::size_t>(u64_at(j, "max_queue_depth", where));
-  c.quantum_blocksteps =
-      static_cast<std::size_t>(u64_at(j, "quantum_blocksteps", where));
-  c.max_requeues = int_at(j, "max_requeues", where);
-  c.max_job_failures = int_at(j, "max_job_failures", where);
-  c.backoff_base_rounds = u64_at(j, "backoff_base_rounds", where);
-  c.machine.boards_per_host =
-      static_cast<std::size_t>(u64_at(j, "boards_per_host", where));
-  c.machine.hosts_per_cluster =
-      static_cast<std::size_t>(u64_at(j, "hosts_per_cluster", where));
-  c.machine.clusters = static_cast<std::size_t>(u64_at(j, "clusters", where));
-  c.durability.checkpoint_dir = string_at(j, "checkpoint_dir", where);
-  c.durability.checkpoint_every_quanta =
-      u64_at(j, "checkpoint_every_quanta", where);
-  const JsonValue* deaths = j.find("board_deaths");
-  if (!deaths->is_array()) fail(where + ".board_deaths must be an array");
-  for (std::size_t i = 0; i < deaths->items().size(); ++i) {
-    const std::string dwhere =
-        where + ".board_deaths[" + std::to_string(i) + "]";
-    const JsonValue& d = deaths->items()[i];
-    check_keys(d, {"round", "board"}, dwhere);
-    BoardDeath death;
-    death.round = u64_at(d, "round", dwhere);
-    death.board = static_cast<std::size_t>(u64_at(d, "board", dwhere));
-    c.board_deaths.push_back(death);
-  }
-  return c;
-}
 
 JournalRecordType type_from_name(const std::string& name,
                                  const std::string& where) {
@@ -189,6 +35,31 @@ JournalRecordType type_from_name(const std::string& name,
     if (name == journal_record_type_name(rt)) return rt;
   }
   fail(where + ": unknown record type '" + name + "'");
+}
+
+/// The keys each record type carries after seq/type/round, in encoding
+/// order — the one table both encode_record and decode_record follow.
+const std::vector<std::string_view>& record_keys(JournalRecordType t) {
+  static const std::vector<std::string_view> kKeys[] = {
+      {"schema", "config"},                                     // open
+      {"records"},                                              // recovered
+      {"job", "spec"},                                          // submitted
+      {"job"},                                                  // admitted
+      {"job", "reason", "message"},                             // rejected
+      {"job", "boards"},                                        // started
+      {"job", "quanta", "t", "steps", "blocksteps"},            // quantum
+      {"job", "quanta", "file", "tag"},                         // checkpointed
+      {"job", "reason", "requeues", "failures", "hold_until"},  // requeued
+      {"board"},                                                // board-death
+      {"job", "quanta", "t", "e0", "e_final", "steps", "blocksteps"},  // finished
+      {"job", "reason", "message"},                             // failed
+      {"job", "failures", "file"},                              // quarantined
+      {"reason"},                                               // drained
+      {"job", "boards", "reason"},                              // lease-resized
+  };
+  static_assert(std::size(kKeys) ==
+                static_cast<std::size_t>(JournalRecordType::kLeaseResized) + 1);
+  return kKeys[static_cast<int>(t)];
 }
 
 }  // namespace
@@ -234,67 +105,50 @@ std::string encode_record(const JournalRecord& rec) {
   os << "{\"seq\":" << rec.seq
      << ",\"type\":" << quote(journal_record_type_name(rec.type))
      << ",\"round\":" << rec.round;
-  switch (rec.type) {
-    case JournalRecordType::kOpen:
-      os << ",\"schema\":" << quote(kJournalSchema) << ",\"config\":";
-      encode_config(os, rec.config);
-      break;
-    case JournalRecordType::kRecovered:
-      os << ",\"records\":" << rec.records;
-      break;
-    case JournalRecordType::kSubmitted:
-      os << ",\"job\":" << rec.job << ",\"spec\":";
-      encode_spec(os, rec.spec);
-      break;
-    case JournalRecordType::kAdmitted:
-      os << ",\"job\":" << rec.job;
-      break;
-    case JournalRecordType::kRejected:
-      os << ",\"job\":" << rec.job << ",\"reason\":" << quote(rec.reason)
-         << ",\"message\":" << quote(rec.message);
-      break;
-    case JournalRecordType::kStarted:
-      os << ",\"job\":" << rec.job << ",\"boards\":" << rec.boards;
-      break;
-    case JournalRecordType::kQuantum:
-      os << ",\"job\":" << rec.job << ",\"quanta\":" << rec.quanta
-         << ",\"t\":" << num(rec.t) << ",\"steps\":" << rec.steps
-         << ",\"blocksteps\":" << rec.blocksteps;
-      break;
-    case JournalRecordType::kCheckpointed:
-      os << ",\"job\":" << rec.job << ",\"quanta\":" << rec.quanta
-         << ",\"file\":" << quote(rec.file) << ",\"tag\":" << quote(rec.tag);
-      break;
-    case JournalRecordType::kRequeued:
-      os << ",\"job\":" << rec.job << ",\"reason\":" << quote(rec.reason)
-         << ",\"requeues\":" << rec.requeues
-         << ",\"failures\":" << rec.failures
-         << ",\"hold_until\":" << rec.hold_until;
-      break;
-    case JournalRecordType::kBoardDeath:
-      os << ",\"board\":" << rec.board;
-      break;
-    case JournalRecordType::kFinished:
-      os << ",\"job\":" << rec.job << ",\"quanta\":" << rec.quanta
-         << ",\"t\":" << num(rec.t) << ",\"e0\":" << num(rec.e0)
-         << ",\"e_final\":" << num(rec.e_final) << ",\"steps\":" << rec.steps
-         << ",\"blocksteps\":" << rec.blocksteps;
-      break;
-    case JournalRecordType::kFailed:
-      os << ",\"job\":" << rec.job << ",\"reason\":" << quote(rec.reason)
-         << ",\"message\":" << quote(rec.message);
-      break;
-    case JournalRecordType::kQuarantined:
-      os << ",\"job\":" << rec.job << ",\"failures\":" << rec.failures
-         << ",\"file\":" << quote(rec.file);
-      break;
-    case JournalRecordType::kDrained:
-      os << ",\"reason\":" << quote(rec.reason);
-      break;
-    case JournalRecordType::kLeaseResized:
-      os << ",\"job\":" << rec.job << ",\"boards\":" << rec.boards
-         << ",\"reason\":" << quote(rec.reason);
-      break;
+  for (const std::string_view key : record_keys(rec.type)) {
+    os << ",\"" << key << "\":";
+    if (key == "schema") {
+      os << quote(kJournalSchema);
+    } else if (key == "config") {
+      encode_service_config(os, rec.config);
+    } else if (key == "spec") {
+      encode_job_spec(os, rec.spec);
+    } else if (key == "records") {
+      os << rec.records;
+    } else if (key == "job") {
+      os << rec.job;
+    } else if (key == "reason") {
+      os << quote(rec.reason);
+    } else if (key == "message") {
+      os << quote(rec.message);
+    } else if (key == "file") {
+      os << quote(rec.file);
+    } else if (key == "tag") {
+      os << quote(rec.tag);
+    } else if (key == "quanta") {
+      os << rec.quanta;
+    } else if (key == "t") {
+      os << json_number(rec.t);
+    } else if (key == "e0") {
+      os << json_number(rec.e0);
+    } else if (key == "e_final") {
+      os << json_number(rec.e_final);
+    } else if (key == "steps") {
+      os << rec.steps;
+    } else if (key == "blocksteps") {
+      os << rec.blocksteps;
+    } else if (key == "requeues") {
+      os << rec.requeues;
+    } else if (key == "failures") {
+      os << rec.failures;
+    } else if (key == "hold_until") {
+      os << rec.hold_until;
+    } else if (key == "board") {
+      os << rec.board;
+    } else {
+      G6_ASSERT(key == "boards");
+      os << rec.boards;
+    }
   }
   os << "}";
   return os.str();
@@ -307,105 +161,51 @@ JournalRecord decode_record(std::string_view line) {
   } catch (const std::exception& e) {
     fail(std::string("record is not valid JSON: ") + e.what());
   }
-  if (!root.is_object()) fail("record must be a JSON object");
-  const JsonValue* type_v = root.find("type");
-  if (type_v == nullptr || !type_v->is_string()) {
-    fail("record: missing string key 'type'");
-  }
   JournalRecord rec;
-  rec.type = type_from_name(type_v->as_string(), "record");
-  const std::string where =
-      std::string("record '") + journal_record_type_name(rec.type) + "'";
+  rec.type = type_from_name(
+      JsonReader(root, "record", fail).get<std::string>("type"), "record");
+  const JsonReader r(root,
+                     std::string("record '") +
+                         journal_record_type_name(rec.type) + "'",
+                     fail);
 
-  std::set<std::string> keys = {"seq", "type", "round"};
-  switch (rec.type) {
-    case JournalRecordType::kOpen:
-      keys.insert({"schema", "config"});
-      break;
-    case JournalRecordType::kRecovered:
-      keys.insert("records");
-      break;
-    case JournalRecordType::kSubmitted:
-      keys.insert({"job", "spec"});
-      break;
-    case JournalRecordType::kAdmitted:
-      keys.insert("job");
-      break;
-    case JournalRecordType::kRejected:
-    case JournalRecordType::kFailed:
-      keys.insert({"job", "reason", "message"});
-      break;
-    case JournalRecordType::kStarted:
-      keys.insert({"job", "boards"});
-      break;
-    case JournalRecordType::kQuantum:
-      keys.insert({"job", "quanta", "t", "steps", "blocksteps"});
-      break;
-    case JournalRecordType::kCheckpointed:
-      keys.insert({"job", "quanta", "file", "tag"});
-      break;
-    case JournalRecordType::kRequeued:
-      keys.insert({"job", "reason", "requeues", "failures", "hold_until"});
-      break;
-    case JournalRecordType::kBoardDeath:
-      keys.insert("board");
-      break;
-    case JournalRecordType::kFinished:
-      keys.insert(
-          {"job", "quanta", "t", "e0", "e_final", "steps", "blocksteps"});
-      break;
-    case JournalRecordType::kQuarantined:
-      keys.insert({"job", "failures", "file"});
-      break;
-    case JournalRecordType::kDrained:
-      keys.insert("reason");
-      break;
-    case JournalRecordType::kLeaseResized:
-      keys.insert({"job", "boards", "reason"});
-      break;
-  }
-  check_keys(root, keys, where);
+  // Strict both ways: each record type has exactly these keys.
+  std::vector<std::string_view> keys = {"seq", "type", "round"};
+  const std::vector<std::string_view>& more = record_keys(rec.type);
+  keys.insert(keys.end(), more.begin(), more.end());
+  r.strict_keys(keys, keys);
 
-  rec.seq = u64_at(root, "seq", where);
-  rec.round = u64_at(root, "round", where);
-  if (keys.count("job")) rec.job = u64_at(root, "job", where);
-  if (keys.count("schema")) {
-    const std::string schema = string_at(root, "schema", where);
-    if (schema != kJournalSchema) {
-      fail(where + ": schema '" + schema + "' (expected " + kJournalSchema +
-           ")");
-    }
+  // Every key below is either required for this type or absent.
+  r.read("seq", &rec.seq);
+  r.read("round", &rec.round);
+  r.read("job", &rec.job);
+  if (r.has("schema") && r.get<std::string>("schema") != kJournalSchema) {
+    r.fail("schema '" + r.get<std::string>("schema") + "' (expected " +
+           kJournalSchema + ")");
   }
-  if (keys.count("config")) {
-    rec.config = decode_config(root.at("config"), where + ".config");
+  if (r.has("config")) {
+    rec.config = decode_service_config(r.child(r.at("config"), ".config"),
+                                       kServiceConfigKeys, kServiceConfigKeys);
   }
-  if (keys.count("spec")) {
-    rec.spec = decode_spec(root.at("spec"), where + ".spec");
+  if (r.has("spec")) {
+    rec.spec = decode_job_spec(r.child(r.at("spec"), ".spec"), kJobSpecKeys);
   }
-  if (keys.count("records")) rec.records = u64_at(root, "records", where);
-  if (keys.count("reason")) rec.reason = string_at(root, "reason", where);
-  if (keys.count("message")) rec.message = string_at(root, "message", where);
-  if (keys.count("file")) rec.file = string_at(root, "file", where);
-  if (keys.count("tag")) rec.tag = string_at(root, "tag", where);
-  if (keys.count("quanta")) rec.quanta = u64_at(root, "quanta", where);
-  if (keys.count("t")) rec.t = number_at(root, "t", where);
-  if (keys.count("e0")) rec.e0 = number_at(root, "e0", where);
-  if (keys.count("e_final")) rec.e_final = number_at(root, "e_final", where);
-  if (keys.count("steps")) rec.steps = u64_at(root, "steps", where);
-  if (keys.count("blocksteps")) {
-    rec.blocksteps = u64_at(root, "blocksteps", where);
-  }
-  if (keys.count("requeues")) rec.requeues = int_at(root, "requeues", where);
-  if (keys.count("failures")) rec.failures = int_at(root, "failures", where);
-  if (keys.count("hold_until")) {
-    rec.hold_until = u64_at(root, "hold_until", where);
-  }
-  if (keys.count("board")) {
-    rec.board = static_cast<std::size_t>(u64_at(root, "board", where));
-  }
-  if (keys.count("boards")) {
-    rec.boards = static_cast<std::size_t>(u64_at(root, "boards", where));
-  }
+  r.read("records", &rec.records);
+  r.read("reason", &rec.reason);
+  r.read("message", &rec.message);
+  r.read("file", &rec.file);
+  r.read("tag", &rec.tag);
+  r.read("quanta", &rec.quanta);
+  r.read("t", &rec.t);
+  r.read("e0", &rec.e0);
+  r.read("e_final", &rec.e_final);
+  r.read("steps", &rec.steps);
+  r.read("blocksteps", &rec.blocksteps);
+  r.read("requeues", &rec.requeues);
+  r.read("failures", &rec.failures);
+  r.read("hold_until", &rec.hold_until);
+  r.read("board", &rec.board);
+  r.read("boards", &rec.boards);
   return rec;
 }
 
@@ -460,10 +260,10 @@ JournalReplay replay_journal(const std::string& path) {
 
 std::string job_run_tag(const JobSpec& spec) {
   std::ostringstream os;
-  os.precision(17);
   os << "serve job=" << spec.name << " model=" << spec.model
-     << " n=" << spec.n << " w0=" << spec.w0 << " t_end=" << spec.t_end
-     << " eps=" << spec.eps << " eta=" << spec.eta << " seed=" << spec.seed
+     << " n=" << spec.n << " w0=" << json_number(spec.w0)
+     << " t_end=" << json_number(spec.t_end) << " eps=" << json_number(spec.eps)
+     << " eta=" << json_number(spec.eta) << " seed=" << spec.seed
      << " boards=" << spec.boards;
   return os.str();
 }

@@ -1,166 +1,41 @@
 #include "serve/manifest.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "serve/admission.hpp"
+#include "serve/codec.hpp"
 #include "util/check.hpp"
 
 namespace g6::serve {
 
 namespace {
 
+using obs::JsonReader;
 using obs::JsonValue;
 
 [[noreturn]] void fail(const std::string& what) { throw ManifestError(what); }
 
-double number_at(const JsonValue& obj, const std::string& key,
-                 const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);
-  if (!v->is_number()) fail(where + ": key '" + key + "' must be a number");
-  return v->as_number();
-}
-
-std::size_t size_at(const JsonValue& obj, const std::string& key,
-                    const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be a non-negative integer");
+ServiceConfig parse_service(const JsonValue& obj) {
+  ServiceConfig cfg = decode_service_config(
+      JsonReader(obj, "service", fail),
+      {"max_queue_depth", "quantum_blocksteps", "max_requeues",
+       "max_job_failures", "backoff_base_rounds", "boards_per_host",
+       "hosts_per_cluster", "clusters", "board_deaths"},
+      {});
+  if (cfg.quantum_blocksteps < 1) {
+    fail("service.quantum_blocksteps must be >= 1");
   }
-  return static_cast<std::size_t>(d);
-}
-
-std::string string_at(const JsonValue& obj, const std::string& key,
-                      const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);
-  if (!v->is_string()) fail(where + ": key '" + key + "' must be a string");
-  return v->as_string();
-}
-
-void check_keys(const JsonValue& obj, const std::set<std::string>& allowed,
-                const std::string& where) {
-  if (!obj.is_object()) fail(where + " must be a JSON object");
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    if (allowed.count(key) == 0) {
-      fail(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-Priority parse_priority(const std::string& s, const std::string& where) {
-  if (s == "interactive") return Priority::kInteractive;
-  if (s == "batch") return Priority::kBatch;
-  fail(where + ": priority must be \"interactive\" or \"batch\", got \"" + s +
-       "\"");
-}
-
-JobSpec parse_job(const JsonValue& j, std::size_t index) {
-  const std::string where = "jobs[" + std::to_string(index) + "]";
-  check_keys(j,
-             {"name", "model", "n", "w0", "t_end", "eps", "eta", "seed",
-              "boards", "boards_min", "boards_max", "priority",
-              "deadline_rounds", "chaos_fail_quanta"},
-             where);
-  if (j.find("name") == nullptr) fail(where + ": missing required key 'name'");
-
-  JobSpec spec;
-  spec.name = string_at(j, "name", where);
-  if (j.find("model")) spec.model = string_at(j, "model", where);
-  if (j.find("n")) spec.n = size_at(j, "n", where);
-  if (j.find("w0")) spec.w0 = number_at(j, "w0", where);
-  if (j.find("t_end")) spec.t_end = number_at(j, "t_end", where);
-  if (j.find("eps")) spec.eps = number_at(j, "eps", where);
-  if (j.find("eta")) spec.eta = number_at(j, "eta", where);
-  if (j.find("seed")) spec.seed = static_cast<unsigned>(size_at(j, "seed", where));
-  if (j.find("boards")) spec.boards = size_at(j, "boards", where);
-  if (j.find("boards_min")) spec.boards_min = size_at(j, "boards_min", where);
-  if (j.find("boards_max")) spec.boards_max = size_at(j, "boards_max", where);
-  if (j.find("priority")) {
-    spec.priority = parse_priority(string_at(j, "priority", where), where);
-  }
-  if (j.find("deadline_rounds")) {
-    spec.deadline_rounds = size_at(j, "deadline_rounds", where);
-  }
-  if (j.find("chaos_fail_quanta")) {
-    spec.chaos_fail_quanta =
-        static_cast<int>(size_at(j, "chaos_fail_quanta", where));
-  }
-
-  const AdmissionDecision d = AdmissionController::validate_spec(spec);
-  if (!d.admit) fail(where + " ('" + spec.name + "'): " + d.message);
-  return spec;
-}
-
-std::vector<BoardDeath> parse_board_deaths(const JsonValue& arr) {
-  if (!arr.is_array()) fail("service.board_deaths must be an array");
-  std::vector<BoardDeath> deaths;
-  for (std::size_t i = 0; i < arr.items().size(); ++i) {
-    const std::string where = "service.board_deaths[" + std::to_string(i) + "]";
-    const JsonValue& d = arr.items()[i];
-    check_keys(d, {"round", "board"}, where);
-    if (d.find("round") == nullptr || d.find("board") == nullptr) {
-      fail(where + ": needs both 'round' and 'board'");
-    }
-    BoardDeath death;
-    death.round = size_at(d, "round", where);
-    death.board = size_at(d, "board", where);
-    deaths.push_back(death);
-  }
-  return deaths;
-}
-
-ServiceConfig parse_service(const JsonValue& s) {
-  const std::string where = "service";
-  check_keys(s,
-             {"max_queue_depth", "quantum_blocksteps", "max_requeues",
-              "max_job_failures", "backoff_base_rounds", "boards_per_host",
-              "hosts_per_cluster", "clusters", "board_deaths"},
-             where);
-  ServiceConfig cfg;
-  if (s.find("max_queue_depth")) {
-    cfg.max_queue_depth = size_at(s, "max_queue_depth", where);
-  }
-  if (s.find("quantum_blocksteps")) {
-    cfg.quantum_blocksteps = size_at(s, "quantum_blocksteps", where);
-    if (cfg.quantum_blocksteps < 1) {
-      fail("service.quantum_blocksteps must be >= 1");
-    }
-  }
-  if (s.find("max_requeues")) {
-    cfg.max_requeues = static_cast<int>(size_at(s, "max_requeues", where));
-  }
-  if (s.find("max_job_failures")) {
-    cfg.max_job_failures =
-        static_cast<int>(size_at(s, "max_job_failures", where));
-    if (cfg.max_job_failures < 1) fail("service.max_job_failures must be >= 1");
-  }
-  if (s.find("backoff_base_rounds")) {
-    cfg.backoff_base_rounds = size_at(s, "backoff_base_rounds", where);
-  }
-  if (s.find("boards_per_host")) {
-    cfg.machine.boards_per_host = size_at(s, "boards_per_host", where);
-  }
-  if (s.find("hosts_per_cluster")) {
-    cfg.machine.hosts_per_cluster = size_at(s, "hosts_per_cluster", where);
-  }
-  if (s.find("clusters")) {
-    cfg.machine.clusters = size_at(s, "clusters", where);
-  }
+  if (cfg.max_requeues < 0) fail("service.max_requeues must be >= 0");
+  if (cfg.max_job_failures < 1) fail("service.max_job_failures must be >= 1");
   if (cfg.pool_boards() < 1) fail("service: machine has zero boards");
-  if (const JsonValue* deaths = s.find("board_deaths")) {
-    cfg.board_deaths = parse_board_deaths(*deaths);
-    for (const BoardDeath& d : cfg.board_deaths) {
-      if (d.board >= cfg.pool_boards()) {
-        fail("service.board_deaths: board " + std::to_string(d.board) +
-             " outside the " + std::to_string(cfg.pool_boards()) +
-             "-board machine");
-      }
+  for (const BoardDeath& d : cfg.board_deaths) {
+    if (d.board >= cfg.pool_boards()) {
+      fail("service.board_deaths: board " + std::to_string(d.board) +
+           " outside the " + std::to_string(cfg.pool_boards()) +
+           "-board machine");
     }
   }
   return cfg;
@@ -176,8 +51,8 @@ Manifest parse_manifest(const std::string& text) {
   } catch (const std::exception& e) {
     fail(std::string("manifest is not valid JSON: ") + e.what());
   }
-  check_keys(root, {"schema", "service", "jobs"}, "manifest");
-
+  const JsonReader r(root, "manifest", fail);
+  r.strict_keys({"schema", "service", "jobs"});
   const JsonValue* schema = root.find("schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->as_string() != kManifestSchema) {
@@ -186,9 +61,7 @@ Manifest parse_manifest(const std::string& text) {
   }
 
   Manifest m;
-  if (const JsonValue* service = root.find("service")) {
-    m.service = parse_service(*service);
-  }
+  if (r.has("service")) m.service = parse_service(r.at("service"));
 
   // "jobs" is optional: a service-only manifest describes the machine a
   // serving daemon (tools/grape6_served) fronts, with every job arriving
@@ -201,10 +74,13 @@ Manifest parse_manifest(const std::string& text) {
 
   std::set<std::string> names;
   for (std::size_t i = 0; i < jobs->items().size(); ++i) {
-    JobSpec spec = parse_job(jobs->items()[i], i);
+    const std::string where = "jobs[" + std::to_string(i) + "]";
+    JobSpec spec =
+        decode_job_spec(JsonReader(jobs->items()[i], where, fail), {"name"});
+    const AdmissionDecision d = AdmissionController::validate_spec(spec);
+    if (!d.admit) fail(where + " ('" + spec.name + "'): " + d.message);
     if (!names.insert(spec.name).second) {
-      fail("jobs[" + std::to_string(i) + "]: duplicate job name '" +
-           spec.name + "'");
+      fail(where + ": duplicate job name '" + spec.name + "'");
     }
     m.jobs.push_back(std::move(spec));
   }

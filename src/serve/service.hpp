@@ -10,7 +10,7 @@
 // (jobs *run* in parallel on the src/exec pool, but submit/report calls
 // are not concurrency-safe against run_until_drained).
 //
-// Typical use (tools/grape6_serve is the full version):
+// Typical use (tools/grape6_served is the full version):
 //
 //   serve::GrapeService service(cfg);
 //   serve::ServeClient client = service.client();

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "serve/codec.hpp"
 #include "util/check.hpp"
 #include "wire/envelope.hpp"
 
@@ -9,22 +10,10 @@ namespace g6::wire {
 
 namespace {
 
-std::uint64_t u64_at(const obs::JsonValue& j, const char* key) {
-  const obs::JsonValue* v = j.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw WireError(std::string("response missing numeric key '") + key +
-                    "'");
-  }
-  return static_cast<std::uint64_t>(v->as_number());
-}
-
-std::string string_at(const obs::JsonValue& j, const char* key) {
-  const obs::JsonValue* v = j.find(key);
-  if (v == nullptr || !v->is_string()) {
-    throw WireError(std::string("response missing string key '") + key +
-                    "'");
-  }
-  return v->as_string();
+/// Strict view of a server envelope: a missing or mistyped key is a
+/// WireError naming it.
+obs::JsonReader server_doc(const obs::JsonValue& doc) {
+  return obs::JsonReader(doc, "response", throw_wire_error);
 }
 
 }  // namespace
@@ -39,7 +28,7 @@ std::optional<obs::JsonValue> RemoteClient::read_envelope() {
   while (true) {
     const FrameDecoder::Status st = decoder_.next(&payload);
     if (st == FrameDecoder::Status::kFrame) {
-      return obs::JsonValue::parse(payload);
+      return parse_envelope(payload).root;  // WireError if off-schema
     }
     if (st == FrameDecoder::Status::kError) {
       throw WireError("server sent a bad frame: " + decoder_.error());
@@ -60,34 +49,29 @@ std::optional<obs::JsonValue> RemoteClient::read_envelope() {
 obs::JsonValue RemoteClient::request(const std::string& method,
                                      const std::string& extra_json) {
   const std::uint64_t id = next_id_++;
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kWireSchema
-     << "\",\"kind\":\"request\",\"id\":" << id << ",\"method\":\"" << method
-     << "\"" << extra_json << "}";
-  sock_.send_all(encode_frame(os.str()));
+  sock_.send_all(encode_frame(encode_request(id, method, extra_json)));
   while (true) {
     std::optional<obs::JsonValue> doc = read_envelope();
     if (!doc) {
       throw WireError("server closed before responding to '" + method + "'");
     }
-    const std::string kind = string_at(*doc, "kind");
+    const obs::JsonReader r = server_doc(*doc);
+    const auto kind = r.get<std::string>("kind");
     if (kind == "event") {
       // Unsolicited push racing our response: keep it for next_event().
-      inbox_.push_back({string_at(*doc, "event"), std::move(*doc)});
+      inbox_.push_back({r.get<std::string>("event"), std::move(*doc)});
       continue;
     }
     if (kind != "response") {
       throw WireError("unexpected '" + kind + "' envelope from server");
     }
-    if (u64_at(*doc, "id") != id) {
+    if (r.get<std::uint64_t>("id") != id) {
       throw WireError("response id mismatch (single in-flight request "
                       "protocol violated)");
     }
-    const obs::JsonValue* ok = doc->find("ok");
-    if (ok == nullptr) throw WireError("response missing key 'ok'");
-    if (!ok->as_bool()) {
+    if (!r.get<bool>("ok")) {
       throw WireError("server rejected '" + method +
-                      "': " + string_at(*doc, "error"));
+                      "': " + r.get<std::string>("error"));
     }
     return std::move(*doc);
   }
@@ -98,15 +82,14 @@ void RemoteClient::ping() { request("ping", ""); }
 serve::SubmitResult RemoteClient::submit(const serve::JobSpec& spec) {
   std::ostringstream os;
   os << ",\"spec\":";
-  encode_job_spec(os, spec);
+  serve::encode_job_spec(os, spec);
   const obs::JsonValue doc = request("submit", os.str());
+  const obs::JsonReader fields = server_doc(doc);
   serve::SubmitResult r;
-  r.id = static_cast<serve::JobId>(u64_at(doc, "job"));
-  const obs::JsonValue* accepted = doc.find("accepted");
-  if (accepted == nullptr) throw WireError("submit: missing 'accepted'");
-  r.accepted = accepted->as_bool();
-  last_reason_ = string_at(doc, "reason");
-  r.message = string_at(doc, "message");
+  r.id = fields.get<serve::JobId>("job");
+  r.accepted = fields.get<bool>("accepted");
+  last_reason_ = fields.get<std::string>("reason");
+  r.message = fields.get<std::string>("message");
   // The enum name survives the wire as text; keep the enum itself
   // coarse (accepted vs not) and let callers read last_reject_reason()
   // for the precise cause.
@@ -137,12 +120,13 @@ std::optional<WireEvent> RemoteClient::next_event(bool wait) {
     if (!wait) return std::nullopt;
     std::optional<obs::JsonValue> doc = read_envelope();
     if (!doc) return std::nullopt;  // server is done streaming
-    const std::string kind = string_at(*doc, "kind");
+    const obs::JsonReader r = server_doc(*doc);
+    const auto kind = r.get<std::string>("kind");
     if (kind != "event") {
       throw WireError("unsolicited '" + kind + "' envelope while waiting "
                       "for events");
     }
-    inbox_.push_back({string_at(*doc, "event"), std::move(*doc)});
+    inbox_.push_back({r.get<std::string>("event"), std::move(*doc)});
   }
   WireEvent ev = std::move(inbox_[inbox_pos_]);
   ++inbox_pos_;
@@ -154,31 +138,23 @@ std::optional<WireEvent> RemoteClient::next_event(bool wait) {
 }
 
 obs::JsonValue RemoteClient::report_json(serve::JobId id) {
-  const obs::JsonValue doc =
-      request("report", ",\"job\":" + std::to_string(id));
-  const obs::JsonValue* rep = doc.find("report");
-  if (rep == nullptr) throw WireError("report: missing 'report'");
-  return *rep;
+  return server_doc(request("report", ",\"job\":" + std::to_string(id)))
+      .at("report");
 }
 
 std::string RemoteClient::state_name(serve::JobId id) {
-  return string_at(request("state", ",\"job\":" + std::to_string(id)),
-                   "state");
+  return server_doc(request("state", ",\"job\":" + std::to_string(id)))
+      .get<std::string>("state");
 }
 
 ParticleSet RemoteClient::final_state(serve::JobId id, double* t) {
   const obs::JsonValue doc =
       request("final", ",\"job\":" + std::to_string(id));
-  const obs::JsonValue* snap = doc.find("snapshot");
-  if (snap == nullptr) throw WireError("final: missing 'snapshot'");
-  return decode_snapshot(*snap, t);
+  return decode_snapshot(server_doc(doc).at("snapshot"), t);
 }
 
 obs::JsonValue RemoteClient::stats_json() {
-  const obs::JsonValue doc = request("stats", "");
-  const obs::JsonValue* st = doc.find("stats");
-  if (st == nullptr) throw WireError("stats: missing 'stats'");
-  return *st;
+  return server_doc(request("stats", "")).at("stats");
 }
 
 void RemoteClient::drain() { request("drain", ""); }

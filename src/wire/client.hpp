@@ -61,8 +61,8 @@ class RemoteClient {
   /// inbox is empty).
   std::optional<WireEvent> next_event(bool wait = true);
 
-  /// Full JobReport as the server's JSON object (field-for-field the
-  /// grape6_serve report file's per-job object).
+  /// Full JobReport as the server's JSON object (serve::write_job_report:
+  /// the report file's per-job object, with `snapshot` always "").
   obs::JsonValue report_json(serve::JobId id);
   std::string state_name(serve::JobId id);
   /// Final particle state of a completed job; `t` receives its time.

@@ -14,7 +14,8 @@
 // (optionally) final snapshots without being polled.
 //
 // Job specs cross the wire in the same JSON shape a
-// grape6-serve-manifest-v1 job entry uses, and particle snapshots carry
+// grape6-serve-manifest-v1 job entry uses (serve/codec.hpp, one codec for
+// manifest, journal and wire), and particle snapshots carry
 // every double at 17 significant digits — std::strtod parses that back
 // to the identical binary64, so a client-side snapshot file is
 // byte-identical to one the server (or a standalone run) writes. That is
@@ -52,18 +53,32 @@ struct Envelope {
   obs::JsonValue root;
 };
 
+/// Throw WireError(what): the fail callback wire decoders hand
+/// obs::JsonReader, so a bad payload surfaces as a WireError.
+[[noreturn]] void throw_wire_error(const std::string& what);
+
 /// Parse and validate one envelope; throws WireError on any deviation
 /// (bad JSON, wrong schema, unknown kind, missing id/method/event).
 Envelope parse_envelope(std::string_view text);
 
-/// Write `spec` as a manifest-shaped JSON job object (17-digit doubles).
-void encode_job_spec(std::ostream& os, const serve::JobSpec& spec);
+/// A request envelope; `payload` is the method's keys as JSON members,
+/// each with a leading comma ("" for none).
+std::string encode_request(std::uint64_t id, std::string_view method,
+                           std::string_view payload);
 
-/// Parse a manifest-shaped job object. Strict keys (unknown keys throw);
-/// value-level validation (n >= 2, ...) is admission's job — an invalid
-/// spec travels to the server and comes back as an explicit
-/// kInvalidSpec rejection, same as a local submit.
-serve::JobSpec decode_job_spec(const obs::JsonValue& j);
+/// The per-quantum `progress` event for a job's current report.
+std::string encode_progress_event(const serve::JobReport& r);
+
+/// The exactly-once `terminal` event: the job's full report
+/// (serve::write_job_report).
+std::string encode_terminal_event(const serve::JobReport& r);
+
+/// The opt-in `snapshot` event carrying a completed job's final state.
+std::string encode_snapshot_event(const serve::JobReport& r,
+                                  const ParticleSet& set, double t);
+
+/// The `error` event a connection gets before a protocol-error close.
+std::string encode_error_event(std::string_view message);
 
 /// Write a particle snapshot payload:
 /// {"t":..,"n":..,"bodies":[[m,x,y,z,vx,vy,vz],...]} at 17 digits.

@@ -9,6 +9,7 @@
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "serve/codec.hpp"
 #include "serve/serve.hpp"
 #include "util/check.hpp"
 #include "wire/envelope.hpp"
@@ -19,41 +20,14 @@ namespace g6::wire {
 
 namespace {
 
-using obs::JsonValue;
+using obs::JsonReader;
 using obs::json_escape;
 
 obs::MetricsRegistry& reg() { return obs::MetricsRegistry::global(); }
 
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-void write_envelope_head(std::ostream& os, const char* kind) {
-  os << "{\"schema\":\"" << kWireSchema << "\",\"kind\":\"" << kind << "\"";
-}
-
-/// The same per-job key set grape6_serve's report file uses, so a remote
-/// report is field-for-field the local one.
-void write_job_report(std::ostream& os, const serve::JobReport& r) {
-  os << "{\"id\":" << r.id << ",\"name\":\"" << json_escape(r.name)
-     << "\",\"priority\":\"" << serve::priority_name(r.priority)
-     << "\",\"state\":\"" << serve::job_state_name(r.state)
-     << "\",\"reject_reason\":\"" << serve::reject_reason_name(r.reject_reason)
-     << "\",\"message\":\"" << json_escape(r.message) << "\",\"n\":" << r.n
-     << ",\"boards\":" << r.boards << ",\"boards_now\":" << r.boards_now
-     << ",\"resizes\":" << r.resizes << ",\"t_end\":" << num(r.t_end)
-     << ",\"t_reached\":" << num(r.t_reached) << ",\"steps\":" << r.steps
-     << ",\"blocksteps\":" << r.blocksteps << ",\"quanta\":" << r.quanta
-     << ",\"preemptions\":" << r.preemptions
-     << ",\"revocations\":" << r.revocations << ",\"requeues\":" << r.requeues
-     << ",\"failures\":" << r.failures << ",\"wait_s\":" << num(r.wait_s)
-     << ",\"run_s\":" << num(r.run_s)
-     << ",\"grape_virtual_s\":" << num(r.grape_virtual_s)
-     << ",\"e0\":" << num(r.e0) << ",\"e_final\":" << num(r.e_final)
-     << ",\"energy_error\":" << num(r.energy_error()) << "}";
+void write_response_head(std::ostream& os, std::uint64_t id, bool ok) {
+  os << "{\"schema\":\"" << kWireSchema << "\",\"kind\":\"response\",\"id\":"
+     << id << ",\"ok\":" << (ok ? "true" : "false");
 }
 
 }  // namespace
@@ -145,27 +119,10 @@ struct WireServer::Impl {
       track.state = rep.state;
       track.boards_now = rep.boards_now;
       track.resizes = rep.resizes;
-      if (progressed && !terminal) {
-        std::ostringstream os;
-        write_envelope_head(os, "event");
-        os << ",\"event\":\"progress\",\"job\":" << rep.id << ",\"name\":\""
-           << json_escape(rep.name) << "\",\"state\":\""
-           << serve::job_state_name(rep.state)
-           << "\",\"quanta\":" << rep.quanta
-           << ",\"t\":" << num(rep.t_reached) << ",\"steps\":" << rep.steps
-           << ",\"blocksteps\":" << rep.blocksteps
-           << ",\"boards\":" << rep.boards_now
-           << ",\"resizes\":" << rep.resizes << "}";
-        broadcast(id, os.str());
-      }
+      if (progressed && !terminal) broadcast(id, encode_progress_event(rep));
       if (terminal) {
         track.terminal_sent = true;
-        std::ostringstream os;
-        write_envelope_head(os, "event");
-        os << ",\"event\":\"terminal\",\"job\":" << rep.id << ",\"report\":";
-        write_job_report(os, rep);
-        os << "}";
-        broadcast(id, os.str());
+        broadcast(id, encode_terminal_event(rep));
         if (rep.state == serve::JobState::kCompleted) {
           // Snapshot events are opt-in (a 17-digit body table is the
           // bulk of the traffic) and per-connection.
@@ -175,14 +132,7 @@ struct WireServer::Impl {
             if (snap.empty()) {
               double t = 0.0;
               const ParticleSet& set = service.final_state(id, &t);
-              std::ostringstream ss;
-              write_envelope_head(ss, "event");
-              ss << ",\"event\":\"snapshot\",\"job\":" << rep.id
-                 << ",\"name\":\"" << json_escape(rep.name)
-                 << "\",\"snapshot\":";
-              encode_snapshot(ss, set, t);
-              ss << "}";
-              snap = ss.str();
+              snap = encode_snapshot_event(rep, set, t);
             }
             enqueue(*c, snap);
             ++stats.events;
@@ -197,29 +147,27 @@ struct WireServer::Impl {
 
   void respond_error(Conn& c, std::uint64_t id, const std::string& message) {
     std::ostringstream os;
-    write_envelope_head(os, "response");
-    os << ",\"id\":" << id << ",\"ok\":false,\"error\":\""
-       << json_escape(message) << "\"}";
+    write_response_head(os, id, false);
+    os << ",\"error\":\"" << json_escape(message) << "\"}";
     enqueue(c, os.str());
   }
 
+  /// Every payload key is read through a JsonReader that throws
+  /// WireError, so a malformed request answers ok:false (drain_frames)
+  /// and never reaches an unchecked conversion.
   void handle_request(Conn& c, const Envelope& env) {
     ++stats.requests;
     reg().counter("wire.requests").add();
     const double t0 = obs::monotonic_seconds();
+    const JsonReader req(env.root, env.method, throw_wire_error);
     std::ostringstream os;
-    write_envelope_head(os, "response");
-    os << ",\"id\":" << env.id << ",\"ok\":true";
+    write_response_head(os, env.id, true);
 
     if (env.method == "ping") {
       os << ",\"pong\":true}";
     } else if (env.method == "submit") {
-      const JsonValue* spec_v = env.root.find("spec");
-      if (spec_v == nullptr) {
-        respond_error(c, env.id, "submit: missing key 'spec'");
-        return;
-      }
-      const serve::JobSpec spec = decode_job_spec(*spec_v);
+      const serve::JobSpec spec =
+          serve::decode_job_spec(req.child(req.at("spec"), ".spec"), {"name"});
       const serve::SubmitResult r = service.submit(spec);
       // Backpressure travels verbatim: the reject reason name and
       // message a local ServeClient would see ARE the wire payload.
@@ -230,31 +178,20 @@ struct WireServer::Impl {
       if (r.accepted) c.submitted.push_back(r.id);
     } else if (env.method == "report" || env.method == "state" ||
                env.method == "final") {
-      const JsonValue* job_v = env.root.find("job");
-      if (job_v == nullptr || !job_v->is_number()) {
-        respond_error(c, env.id, env.method + ": missing numeric key 'job'");
-        return;
-      }
-      const auto job = static_cast<serve::JobId>(job_v->as_number());
-      const std::vector<serve::JobId> ids = service.jobs();
-      if (job < 1 || job > ids.size()) {
-        respond_error(c, env.id,
-                      env.method + ": unknown job " + std::to_string(job));
-        return;
+      const auto job = req.get<serve::JobId>("job");
+      if (job < 1 || job > service.jobs().size()) {
+        req.fail("unknown job " + std::to_string(job));
       }
       if (env.method == "report") {
         os << ",\"report\":";
-        write_job_report(os, service.report(job));
+        serve::write_job_report(os, service.report(job));
         os << "}";
       } else if (env.method == "state") {
         os << ",\"state\":\"" << serve::job_state_name(service.state(job))
            << "\"}";
       } else {
         if (service.state(job) != serve::JobState::kCompleted) {
-          respond_error(c, env.id,
-                        "final: job " + std::to_string(job) +
-                            " has not completed");
-          return;
+          req.fail("job " + std::to_string(job) + " has not completed");
         }
         double t = 0.0;
         const ParticleSet& set = service.final_state(job, &t);
@@ -263,32 +200,25 @@ struct WireServer::Impl {
         os << "}";
       }
     } else if (env.method == "subscribe") {
+      bool snapshots = false;
+      bool all = false;
+      req.read("snapshots", &snapshots);
+      req.read("all", &all);
       c.subscribed = true;
-      const JsonValue* snaps = env.root.find("snapshots");
-      c.want_snapshots = snaps != nullptr && snaps->as_bool();
-      const JsonValue* all = env.root.find("all");
-      c.all_jobs = all != nullptr && all->as_bool();
+      c.want_snapshots = snapshots;
+      c.all_jobs = all;
       update_subscriber_gauge();
       os << ",\"subscribed\":true}";
     } else if (env.method == "stats") {
-      const serve::ServiceStats& st = service.stats();
-      os << ",\"stats\":{\"boards\":" << service.config().pool_boards()
-         << ",\"healthy_boards\":" << service.healthy_boards()
-         << ",\"rounds\":" << st.rounds << ",\"submitted\":" << st.submitted
-         << ",\"rejected\":" << st.rejected
-         << ",\"completed\":" << st.completed << ",\"failed\":" << st.failed
-         << ",\"quarantined\":" << st.quarantined
-         << ",\"preemptions\":" << st.preemptions
-         << ",\"revocations\":" << st.revocations
-         << ",\"requeues\":" << st.requeues << ",\"resizes\":" << st.resizes
-         << ",\"boards_dead\":" << st.boards_dead << "}}";
+      os << ",\"stats\":";
+      serve::write_service_stats(os, service);
+      os << "}";
     } else if (env.method == "drain") {
       service.drain();
       drain_requested = true;
       os << ",\"draining\":true}";
     } else {
-      respond_error(c, env.id, "unknown method '" + env.method + "'");
-      return;
+      req.fail("unknown method '" + env.method + "'");
     }
     enqueue(c, os.str());
     reg()
@@ -302,11 +232,7 @@ struct WireServer::Impl {
     reg().counter("wire.protocol_errors").add();
     obs::log_warn("wire: conn %llu closed with error: %s",
                   static_cast<unsigned long long>(c.id), message.c_str());
-    std::ostringstream os;
-    write_envelope_head(os, "event");
-    os << ",\"event\":\"error\",\"message\":\"" << json_escape(message)
-       << "\"}";
-    enqueue(c, os.str());
+    enqueue(c, encode_error_event(message));
     ++stats.events;
     reg().counter("wire.events").add();
     c.closing = true;

@@ -255,6 +255,18 @@ TEST(FaultPlanJson, RejectsUnknownKeysAndBadValues) {
                FaultError);
   EXPECT_THROW(FaultPlan::from_json(obs::JsonValue::parse(R"([1, 2])")),
                FaultError);
+  // Integers are range-checked before the cast.
+  EXPECT_THROW(FaultPlan::from_json(obs::JsonValue::parse(
+                   R"({"stuck_chips": [1e30]})")),
+               FaultError);
+  EXPECT_THROW(FaultPlan::from_json(obs::JsonValue::parse(
+                   R"({"hard_failures": [{"board": -1e30}]})")),
+               FaultError);
+  EXPECT_THROW(FaultPlan::from_json(obs::JsonValue::parse(R"({"seed": -1})")),
+               FaultError);
+  EXPECT_THROW(FaultPlan::from_json(obs::JsonValue::parse(
+                   R"({"stuck_chips": [1.5]})")),
+               FaultError);
 }
 
 TEST(FaultPlanJson, MissingFileThrows) {

@@ -197,6 +197,39 @@ TEST(JournalRecordTest, WrongSchemaAndTypesAreRejected) {
       JournalError);
 }
 
+TEST(JournalRecordTest, OutOfRangeNumbersAreRejected) {
+  // Range-checked before the cast: a corrupt journal cannot reach an
+  // out-of-range float-to-integer conversion.
+  JournalRecord rec;
+  rec.seq = 2;
+  rec.type = JournalRecordType::kSubmitted;
+  rec.job = 1;
+  rec.spec = demo_spec();
+  const std::string good = encode_record(rec);
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  EXPECT_NO_THROW(decode_record(good));
+  EXPECT_THROW(decode_record(with("\"n\":512", "\"n\":1e30")), JournalError);
+  EXPECT_THROW(decode_record(with("\"seed\":42", "\"seed\":5e9")),
+               JournalError);
+  EXPECT_THROW(decode_record(with("\"chaos_fail_quanta\":1",
+                                  "\"chaos_fail_quanta\":3e9")),
+               JournalError);
+  EXPECT_THROW(decode_record(with("\"job\":1", "\"job\":-1e30")),
+               JournalError);
+  EXPECT_THROW(decode_record(with("\"boards\":2", "\"boards\":2.5")),
+               JournalError);
+  EXPECT_THROW(
+      decode_record("{\"seq\":4,\"type\":\"requeued\",\"round\":0,\"job\":1,"
+                    "\"reason\":\"retry\",\"requeues\":1e30,\"failures\":0,"
+                    "\"hold_until\":0}"),
+      JournalError);
+}
+
 TEST(JournalRecordTest, RunTagFingerprintsTheDynamics) {
   const JobSpec a = demo_spec();
   JobSpec b = a;

@@ -12,6 +12,7 @@
 
 #include "nbody/particle.hpp"
 #include "obs/json.hpp"
+#include "serve/codec.hpp"
 #include "serve/types.hpp"
 #include "util/rng.hpp"
 
@@ -71,6 +72,12 @@ TEST(WireEnvelope, RequestMissingIdOrMethodThrows) {
   EXPECT_THROW(
       parse(R"({"schema":"grape6-wire-v1","kind":"request","id":1.5,"method":"ping"})"),
       WireError);
+  EXPECT_THROW(
+      parse(R"({"schema":"grape6-wire-v1","kind":"request","id":1e30,"method":"ping"})"),
+      WireError);
+  EXPECT_THROW(
+      parse(R"({"schema":"grape6-wire-v1","kind":"request","id":-1,"method":"ping"})"),
+      WireError);
 }
 
 TEST(WireEnvelope, ResponseMissingOkThrows) {
@@ -85,10 +92,17 @@ TEST(WireEnvelope, EventMissingNameThrows) {
 
 // ---------------------------------------------------------------- specs
 
+/// A submit payload's spec, read the way WireServer reads it.
+serve::JobSpec decode_spec(const std::string& text) {
+  const obs::JsonValue v = obs::JsonValue::parse(text);
+  return serve::decode_job_spec(obs::JsonReader(v, "spec", throw_wire_error),
+                                {"name"});
+}
+
 serve::JobSpec round_trip(const serve::JobSpec& spec) {
   std::ostringstream os;
-  encode_job_spec(os, spec);
-  return decode_job_spec(obs::JsonValue::parse(os.str()));
+  serve::encode_job_spec(os, spec);
+  return decode_spec(os.str());
 }
 
 TEST(WireEnvelope, JobSpecRoundTripsEveryField) {
@@ -136,20 +150,102 @@ TEST(WireEnvelope, JobSpecDefaultsRoundTrip) {
 }
 
 TEST(WireEnvelope, JobSpecUnknownKeyThrows) {
-  EXPECT_THROW(
-      decode_job_spec(obs::JsonValue::parse(R"({"name":"x","frobnicate":1})")),
-      WireError);
+  EXPECT_THROW(decode_spec(R"({"name":"x","frobnicate":1})"), WireError);
 }
 
 TEST(WireEnvelope, JobSpecBadPriorityThrows) {
-  EXPECT_THROW(
-      decode_job_spec(obs::JsonValue::parse(R"({"name":"x","priority":"rush"})")),
-      WireError);
+  EXPECT_THROW(decode_spec(R"({"name":"x","priority":"rush"})"), WireError);
+}
+
+TEST(WireEnvelope, JobSpecOutOfRangeNumbersThrow) {
+  // Checked before any cast: none of these may reach a float-to-integer
+  // conversion (undefined behaviour for out-of-range values).
+  EXPECT_THROW(decode_spec(R"({"name":"x","n":1e30})"), WireError);
+  EXPECT_THROW(decode_spec(R"({"name":"x","n":-1})"), WireError);
+  EXPECT_THROW(decode_spec(R"({"name":"x","seed":4294967296})"), WireError);
+  EXPECT_THROW(decode_spec(R"({"name":"x","chaos_fail_quanta":3e9})"),
+               WireError);
+  EXPECT_THROW(decode_spec(R"({"name":"x","deadline_rounds":1.5})"),
+               WireError);
+  EXPECT_EQ(decode_spec(R"({"name":"x","seed":4294967295})").seed,
+            4294967295u);
 }
 
 TEST(WireEnvelope, JobSpecMissingNameThrows) {
-  EXPECT_THROW(decode_job_spec(obs::JsonValue::parse(R"({"n":64})")),
-               WireError);
+  EXPECT_THROW(decode_spec(R"({"n":64})"), WireError);
+}
+
+// --------------------------------------------------------------- golden
+//
+// The exact bytes of a submit request and the progress / snapshot /
+// error events, as this protocol version has always written them: an
+// escaped job name and 17-digit doubles (0.1 + 0.2, 1/3) included.
+
+serve::JobSpec awkward_spec() {
+  serve::JobSpec s;
+  s.name = "we\"ird\\name\n\t";
+  s.model = "king";
+  s.n = 96;
+  s.w0 = 0.1 + 0.2;
+  s.t_end = 0.0625;
+  s.eps = 1.0 / 3.0;
+  s.eta = 0.01;
+  s.seed = 4000000000u;
+  s.boards = 2;
+  s.boards_min = 1;
+  s.boards_max = 4;
+  s.priority = serve::Priority::kInteractive;
+  s.deadline_rounds = 30;
+  s.chaos_fail_quanta = 2;
+  return s;
+}
+
+serve::JobReport awkward_report() {
+  serve::JobReport r;
+  r.id = 7;
+  r.name = awkward_spec().name;
+  r.state = serve::JobState::kRunning;
+  r.quanta = 3;
+  r.t_reached = 0.1 + 0.2;
+  r.steps = 12345;
+  r.blocksteps = 67;
+  r.boards_now = 3;
+  r.resizes = 1;
+  return r;
+}
+
+TEST(WireEnvelopeGolden, SubmitRequestBytes) {
+  std::ostringstream spec;
+  spec << ",\"spec\":";
+  serve::encode_job_spec(spec, awkward_spec());
+  EXPECT_EQ(encode_request(5, "submit", spec.str()),
+            R"golden({"schema":"grape6-wire-v1","kind":"request","id":5,"method":"submit","spec":{"name":"we\"ird\\name\n\t","model":"king","n":96,"w0":0.30000000000000004,"t_end":0.0625,"eps":0.33333333333333331,"eta":0.01,"seed":4000000000,"boards":2,"boards_min":1,"boards_max":4,"priority":"interactive","deadline_rounds":30,"chaos_fail_quanta":2}})golden");
+}
+
+TEST(WireEnvelopeGolden, ProgressEventBytes) {
+  EXPECT_EQ(encode_progress_event(awkward_report()),
+            R"golden({"schema":"grape6-wire-v1","kind":"event","event":"progress","job":7,"name":"we\"ird\\name\n\t","state":"running","quanta":3,"t":0.30000000000000004,"steps":12345,"blocksteps":67,"boards":3,"resizes":1})golden");
+}
+
+TEST(WireEnvelopeGolden, SnapshotEventBytes) {
+  ParticleSet set;
+  Body a;
+  a.mass = 0.5;
+  a.pos = Vec3(0.1 + 0.2, -1.0 / 3.0, 1e-300);
+  a.vel = Vec3(0.0, -0.0, 123456.789);
+  set.add(a);
+  Body b;
+  b.mass = 0.5;
+  b.pos = Vec3(-0.3, 2.0 / 3.0, 0.0);
+  b.vel = Vec3(1e-5, 0.7, -2.5);
+  set.add(b);
+  EXPECT_EQ(encode_snapshot_event(awkward_report(), set, 0.1 + 0.2),
+            R"golden({"schema":"grape6-wire-v1","kind":"event","event":"snapshot","job":7,"name":"we\"ird\\name\n\t","snapshot":{"t":0.30000000000000004,"n":2,"bodies":[[0.5,0.30000000000000004,-0.33333333333333331,1e-300,0,-0,123456.789],[0.5,-0.29999999999999999,0.66666666666666663,0,1.0000000000000001e-05,0.69999999999999996,-2.5]]}})golden");
+}
+
+TEST(WireEnvelopeGolden, ErrorEventBytes) {
+  EXPECT_EQ(encode_error_event("framing: bad \"len\"\n"),
+            R"golden({"schema":"grape6-wire-v1","kind":"event","event":"error","message":"framing: bad \"len\"\n"})golden");
 }
 
 // ------------------------------------------------------------ snapshots

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "serve/serve.hpp"
 #include "wire/wire.hpp"
@@ -316,6 +317,33 @@ TEST_F(WireServerTest, UnknownMethodAnswersOkFalseAndConnectionLives) {
   EXPECT_FALSE(ok->as_bool());
   EXPECT_NE(str_at(resp.root, "error").find("unknown method"),
             std::string::npos);
+
+  // Well-framed requests with hostile payloads: wrong types, numbers
+  // outside every integer range (a cast would be undefined behaviour),
+  // fractional ids. Each answers ok:false on the same live connection.
+  const std::pair<const char*, const char*> hostile[] = {
+      {"subscribe", R"(,"snapshots":1)"},
+      {"subscribe", R"(,"all":"yes")"},
+      {"report", R"(,"job":-1e30)"},
+      {"report", R"(,"job":1.5)"},
+      {"report", ""},
+      {"state", R"(,"job":"one")"},
+      {"final", R"(,"job":1e30)"},
+      {"submit", R"(,"spec":{"name":"x","n":1e30})"},
+      {"submit", R"(,"spec":{"name":"x","seed":-1})"},
+      {"submit", R"(,"spec":3)"},
+      {"submit", ""},
+  };
+  std::uint64_t id = 10;
+  for (const auto& [method, payload] : hostile) {
+    raw.send_all(encode_frame(encode_request(id, method, payload)));
+    resp = parse_envelope(read_frame_blocking(raw, dec));
+    EXPECT_EQ(resp.id, id) << method << payload;
+    ASSERT_NE(resp.root.find("ok"), nullptr) << method << payload;
+    EXPECT_FALSE(resp.root.find("ok")->as_bool()) << method << payload;
+    EXPECT_FALSE(str_at(resp.root, "error").empty()) << method << payload;
+    ++id;
+  }
 
   // Same socket, next request: still serviced.
   raw.send_all(encode_frame(request_json(2, "ping")));
